@@ -26,13 +26,15 @@
 //! scenario_matrix --check <baseline.json> [--tolerance 0.5] [--current <report.json>]
 //! ```
 //!
-//! compares the `wall_ns` leaves of a freshly written report against a
-//! committed baseline via [`mfu_bench::regression`] and exits non-zero on
-//! a regression. Cells are second-scale end-to-end pipelines (not
-//! nanosecond micro-loops), so CI gates them at a looser tolerance than
-//! the rate-engine report. Widths are *not* wall-clock gated — they are
-//! deterministic, and any drift surfaces through the markdown staleness
-//! gate below instead.
+//! compares a freshly written report against a committed baseline and
+//! exits non-zero on a regression. The `wall_ns` leaves are gated by
+//! [`mfu_bench::regression`] at a relative tolerance: cells are
+//! second-scale end-to-end pipelines (not nanosecond micro-loops), so CI
+//! gates them looser than the rate-engine report. Every `hull.width` and
+//! `pontryagin.width` leaf must equal the baseline *exactly*: both methods
+//! are deterministic, so an analysis change that moves an answer fails the
+//! guard instead of passing as long as it stays fast. (Ensemble widths
+//! are seeded too but are not gated; the matrix only records them.)
 //!
 //! # Markdown rendering and the docs staleness gate
 //!
@@ -368,12 +370,46 @@ fn extract_block(doc: &str) -> Result<&str, String> {
     Ok(doc[start..start + end].trim_matches('\n'))
 }
 
-/// `--check` mode: compare the `wall_ns` leaves of two written reports.
+/// The deterministic answer leaves `--check` requires to be unchanged.
+fn is_exact_leaf(path: &str) -> bool {
+    path.ends_with(".hull.width") || path.ends_with(".pontryagin.width")
+}
+
+/// Every exact leaf that differs between two reports or is missing from
+/// one of them, as printable lines (empty when the answers agree).
+fn width_mismatches(baseline: &str, current: &str) -> Result<Vec<String>, String> {
+    let base = regression::numeric_leaves(&regression::parse(baseline)?);
+    let cur = regression::numeric_leaves(&regression::parse(current)?);
+    let mut mismatches = Vec::new();
+    for (path, &base_value) in base.iter().filter(|(p, _)| is_exact_leaf(p)) {
+        match cur.get(path) {
+            Some(&cur_value) if cur_value == base_value => {}
+            Some(&cur_value) => mismatches.push(format!("{path}: {base_value} -> {cur_value}")),
+            None => mismatches.push(format!("{path}: missing from the current report")),
+        }
+    }
+    for path in cur.keys().filter(|p| is_exact_leaf(p)) {
+        if !base.contains_key(path) {
+            mismatches.push(format!("{path}: missing from the baseline"));
+        }
+    }
+    Ok(mismatches)
+}
+
+/// `--check` mode: compare the `wall_ns` leaves of two written reports
+/// within `tolerance` and their widths exactly.
 fn run_check(baseline_path: &str, current_path: &str, tolerance: f64) -> Result<bool, String> {
     let baseline = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
     let current = std::fs::read_to_string(current_path)
         .map_err(|e| format!("cannot read current report `{current_path}`: {e}"))?;
+    let mismatches = width_mismatches(&baseline, &current)?;
+    if mismatches.is_empty() {
+        println!("scenario-matrix guard: every hull/Pontryagin width equals `{baseline_path}`");
+    }
+    for mismatch in &mismatches {
+        println!("  WIDTH CHANGED {mismatch}");
+    }
     let comparison = regression::compare(&baseline, &current, tolerance)?;
     println!(
         "scenario-matrix guard: {} shared timing metrics within {:.0}% of `{baseline_path}`",
@@ -392,7 +428,7 @@ fn run_check(baseline_path: &str, current_path: &str, tolerance: f64) -> Result<
             (regression.current / regression.baseline - 1.0) * 100.0
         );
     }
-    Ok(comparison.regressions.is_empty())
+    Ok(comparison.regressions.is_empty() && mismatches.is_empty())
 }
 
 /// Parsed command line.
@@ -608,11 +644,36 @@ mod tests {
         assert_eq!(leaves["matrix.sir.hull.width"], 0.5);
         assert_eq!(leaves["matrix.sir.hull.wall_ns"], 1.0e6);
         // the guard compares a report against itself cleanly, and the only
-        // gated leaves are the wall clocks (widths are checked by the
-        // markdown staleness gate, not by a timing tolerance)
+        // tolerance-gated leaves are the wall clocks (widths are compared
+        // exactly instead)
         let comparison = regression::compare(&json, &json, 0.5).unwrap();
         assert!(comparison.regressions.is_empty());
         assert_eq!(comparison.passed, 6);
+        assert!(width_mismatches(&json, &json).unwrap().is_empty());
+    }
+
+    #[test]
+    fn check_requires_hull_and_pontryagin_widths_to_be_unchanged() {
+        let json = sample_report();
+        let moved = |from: &str, to: &str| {
+            assert!(json.contains(from), "sample lacks `{from}`");
+            json.replacen(from, to, 1)
+        };
+        // any change of a hull or Pontryagin width fails, however small
+        let hull = moved("\"width\": 0.500000", "\"width\": 0.500001");
+        let mismatches = width_mismatches(&json, &hull).unwrap();
+        assert_eq!(mismatches.len(), 1, "{mismatches:?}");
+        assert!(mismatches[0].starts_with("matrix.sir.hull.width"));
+        let pmp = moved("\"width\": 0.125000", "\"width\": 0.124000");
+        assert_eq!(width_mismatches(&json, &pmp).unwrap().len(), 1);
+        // ensemble widths and wall clocks are not exact leaves
+        let ensemble = moved("\"width\": 0.200000", "\"width\": 0.300000");
+        assert!(width_mismatches(&json, &ensemble).unwrap().is_empty());
+        let wall = moved("\"wall_ns\": 1000000", "\"wall_ns\": 1100000");
+        assert!(width_mismatches(&json, &wall).unwrap().is_empty());
+        // a cell that vanishes (or appears) is a change of answer too
+        let renamed = json.replace("\"sir\"", "\"sis\"");
+        assert_eq!(width_mismatches(&json, &renamed).unwrap().len(), 4);
     }
 
     #[test]

@@ -13,22 +13,43 @@
 //! ```
 //!
 //! The optimisation over the rectangle is performed by corner enumeration
-//! (optionally refined with edge midpoints); the optimisation over `Θ` uses
-//! [`ImpreciseDrift::coordinate_range`]. The paper (Figures 4 and 5) shows
-//! that this method is cheap and accurate for small parameter ranges but
-//! becomes very loose — eventually trivial — as the range grows, which is
-//! exactly the behaviour reproduced by the benchmarks.
+//! (optionally refined with edge midpoints); the optimisation over `Θ`
+//! scans [`ImpreciseDrift::theta_candidates`] as
+//! [`ImpreciseDrift::coordinate_range`] does. The paper (Figures 4 and 5)
+//! shows that this method is cheap and accurate for small parameter ranges
+//! but becomes very loose — eventually trivial — as the range grows, which
+//! is exactly the behaviour reproduced by the benchmarks.
+//!
+//! # The shared grid
+//!
+//! All `2d` (coordinate, side) problems enumerate points of one grid: each
+//! coordinate takes the values `{x̲_j, x̄_j, (x̲_j + x̄_j)/2}` (the midpoint
+//! only with [`HullOptions::refine_midpoints`], repeated values dropped), and
+//! a pinned problem is the slice of that grid with `x_i` fixed. One RK4
+//! stage therefore evaluates the drift once per grid point × Θ candidate —
+//! `3^d · C` lanes in a single [`ImpreciseDrift::drift_batch_into`] call —
+//! and then runs the `2d` min/max reductions over lane indices. Enumerating
+//! each pinned slice separately costs `2d · 3^(d−1) · C` lanes: 1.5× as many
+//! at `d = 2`, 2× at `d = 3`, 5.3× at `d = 8`. Each reduction visits its
+//! points and candidates in the order of the per-slice scan and replays the
+//! `coordinate_range` arithmetic, so the bounds are bit-identical to it; the
+//! tests keep that scan as the oracle. The grid still grows as `3^d`: a
+//! grid too large to allocate fails the integration with
+//! [`CoreError::InvalidInput`] before anything is allocated for it.
 
 use std::cell::{Cell, RefCell};
 
 use mfu_guard::{BudgetTracker, RunBudget, DIVERGENCE_CAP};
 use mfu_num::batch::{BatchTheta, SoaBatch};
-use mfu_num::ode::{Integrator, OdeSystem, Rk4};
-use mfu_num::StateVec;
+use mfu_num::ode::{OdeSystem, Rk4, Rk4Workspace};
+use mfu_num::{NumError, StateVec};
 use mfu_obs::{Counter, Field, Obs};
 
 use crate::drift::ImpreciseDrift;
 use crate::{CoreError, Result};
+
+#[cfg(test)]
+mod scalar_oracle;
 
 /// Coordinate-wise lower/upper bounds on a time grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,15 +141,6 @@ pub struct HullOptions {
     /// Optional clamp applied to both bounds after every report interval
     /// (e.g. `[0, 1]` for densities); `None` leaves the bounds unclamped.
     pub clamp: Option<(f64, f64)>,
-    /// When `true` (the default), each bound evaluation batches every
-    /// rectangle point × Θ-candidate drift into one
-    /// [`ImpreciseDrift::drift_batch_into`] pass instead of one scalar call
-    /// per pair. The results are bit-identical — the argmax reductions
-    /// replicate the scalar scan order exactly — so this is purely a
-    /// performance knob. Disable for drifts that override
-    /// [`ImpreciseDrift::extremal_theta`] or
-    /// [`ImpreciseDrift::coordinate_range`] with non-default semantics.
-    pub batch_drift: bool,
     /// Run budget; only the wall-clock cap applies to the hull integration,
     /// checked once per report interval. A tripped deadline returns the
     /// bounds accumulated so far with
@@ -143,7 +155,6 @@ impl Default for HullOptions {
             time_intervals: 100,
             refine_midpoints: true,
             clamp: None,
-            batch_drift: true,
             budget: RunBudget::unlimited(),
         }
     }
@@ -167,7 +178,8 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
     }
 
     /// Attaches an observability bundle; [`DifferentialHull::bounds`] then
-    /// reports how many rectangle-vertex drift evaluations it performed.
+    /// reports how many rectangle points its per-(coordinate, side)
+    /// reductions visited.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -184,7 +196,9 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
     ///
     /// # Errors
     ///
-    /// Returns an error on dimension mismatches, invalid horizons, or
+    /// Returns an error on dimension mismatches, invalid horizons, a
+    /// non-finite initial condition, a rectangle grid too large to
+    /// allocate ([`CoreError::InvalidInput`], before integrating), or
     /// integration failure.
     pub fn bounds(&self, x0: &StateVec, t_end: f64) -> Result<HullBounds> {
         if x0.dim() != self.drift.dim() {
@@ -197,20 +211,12 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
                 "time horizon must be positive and finite",
             ));
         }
+        if !x0.is_finite() {
+            return Err(NumError::non_finite("initial condition").into());
+        }
         let dim = self.drift.dim();
-        let system = HullOde {
-            drift: &self.drift,
-            dim,
-            refine_midpoints: self.options.refine_midpoints,
-            batch_drift: self.options.batch_drift,
-            theta_candidates: if self.options.batch_drift {
-                self.drift.theta_candidates()
-            } else {
-                Vec::new()
-            },
-            vertex_evals: Cell::new(0),
-            scratch: RefCell::new(HullScratch::default()),
-        };
+        let system = HullOde::new(&self.drift, self.options.refine_midpoints);
+        system.reserve_grid()?;
 
         // combined state: [lower | upper]
         let mut combined = StateVec::zeros(2 * dim);
@@ -221,7 +227,12 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
 
         let intervals = self.options.time_intervals.max(1);
         let dt = t_end / intervals as f64;
-        let solver = Rk4::with_step(self.options.step.min(dt));
+        // `with_step` rejects a non-positive step
+        let step = Rk4::with_step(self.options.step.min(dt)).step();
+        // every report interval is split into the same whole number of steps
+        let n_steps = (dt / step).ceil().max(1.0) as usize;
+        let h = dt / n_steps as f64;
+        let mut workspace = Rk4Workspace::new(2 * dim);
 
         let mut times = Vec::with_capacity(intervals + 1);
         let mut lower = Vec::with_capacity(intervals + 1);
@@ -243,7 +254,13 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
                 truncated_at = times.last().copied();
                 break;
             }
-            combined = solver.final_state(&system, 0.0, combined, dt)?;
+            for s in 0..n_steps {
+                let t = h * s as f64;
+                Rk4::step_in_place_with(&system, t, &mut combined, h, &mut workspace);
+                if !combined.is_finite() {
+                    return Err(NumError::non_finite(format!("RK4 step at t = {t}")).into());
+                }
+            }
             if mfu_guard::state_diverged(combined.as_slice(), DIVERGENCE_CAP) {
                 return Err(CoreError::Diverged {
                     analysis: "differential hull",
@@ -251,7 +268,9 @@ impl<D: ImpreciseDrift> DifferentialHull<D> {
                 });
             }
             if let Some((clamp_lo, clamp_hi)) = self.options.clamp {
-                combined = combined.clamp_scalar(clamp_lo, clamp_hi);
+                for v in combined.as_mut_slice() {
+                    *v = v.clamp(clamp_lo, clamp_hi);
+                }
             }
             // Keep the box well-formed: floating-point noise can make a lower
             // bound overtake its upper bound when the box collapses.
@@ -296,9 +315,8 @@ struct HullOde<'a, D> {
     drift: &'a D,
     dim: usize,
     refine_midpoints: bool,
-    batch_drift: bool,
-    /// The Θ scan list of [`ImpreciseDrift::extremal_theta`], precomputed
-    /// once (it does not depend on the state); empty when batching is off.
+    /// The Θ scan list of [`ImpreciseDrift::coordinate_range`], precomputed
+    /// once (it does not depend on the state).
     theta_candidates: Vec<Vec<f64>>,
     // `OdeSystem::rhs` takes `&self`, so the eval tally lives in a `Cell`;
     // the hull ODE is integrated on one thread, making this sound and free.
@@ -306,181 +324,244 @@ struct HullOde<'a, D> {
     scratch: RefCell<HullScratch>,
 }
 
-/// Reusable batch buffers for [`HullOde::extreme_over_box_batched`].
+/// The values one coordinate takes on the shared grid.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slots {
+    /// `x̲_j`, `x̄_j` and the midpoint, each dropped when equal to the value
+    /// kept before it (`Vec::dedup`); then `x̄_j` once more if that dropped
+    /// its bit pattern (`−0.0` against `+0.0`), for the pinned upper side.
+    values: [f64; 4],
+    /// Number of values visited while the coordinate is free.
+    free: usize,
+    /// Number of values on the grid, the pinned-only extra included.
+    len: usize,
+    /// Index of the value bit-identical to `x̄_j`.
+    upper: usize,
+    /// Grid-point distance between consecutive values (coordinate 0
+    /// varies fastest).
+    stride: usize,
+}
+
+impl Slots {
+    fn new(lo: f64, hi: f64, refine_midpoints: bool) -> Self {
+        let mut slots = Slots {
+            values: [lo; 4],
+            len: 1,
+            ..Slots::default()
+        };
+        slots.push_unless_repeated(hi);
+        if refine_midpoints && hi > lo {
+            slots.push_unless_repeated(0.5 * (lo + hi));
+        }
+        slots.free = slots.len;
+        let kept = slots.values[..slots.len]
+            .iter()
+            .position(|v| v.to_bits() == hi.to_bits());
+        slots.upper = kept.unwrap_or_else(|| {
+            slots.values[slots.len] = hi;
+            slots.len += 1;
+            slots.len - 1
+        });
+        slots
+    }
+
+    /// Appends `v` unless it equals the last kept value, as `Vec::dedup`.
+    fn push_unless_repeated(&mut self, v: f64) {
+        if v != self.values[self.len - 1] {
+            self.values[self.len] = v;
+            self.len += 1;
+        }
+    }
+}
+
+/// Reusable buffers of the hull ODE's right-hand side. The batches are
+/// reserved for the largest grid up front, so after the first stage a
+/// stage allocates nothing.
 #[derive(Default)]
 struct HullScratch {
-    /// Rectangle points in visit order, point-major (`point · dim + i`).
-    points: Vec<f64>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    slots: Vec<Slots>,
+    /// Multi-index of the pinned-slice walk.
+    index: Vec<usize>,
+    /// Grid points × Θ candidates, lane `point · C + candidate`.
     x: SoaBatch,
     thetas: SoaBatch,
     drifts: SoaBatch,
 }
 
-impl<D: ImpreciseDrift> HullOde<'_, D> {
-    /// Visits the corner (and optionally midpoint) points of the rectangle
-    /// `[lower, upper]` with coordinate `pin` fixed to `pin_value`, in a
-    /// fixed deterministic order shared by the scalar and batched bound
-    /// evaluations.
-    fn for_each_rect_point<F: FnMut(&StateVec)>(
-        &self,
-        lower: &StateVec,
-        upper: &StateVec,
-        pin: usize,
-        pin_value: f64,
-        mut visit: F,
-    ) {
-        let free: Vec<usize> = (0..self.dim).filter(|&i| i != pin).collect();
-        // per free coordinate: candidate values
-        let candidates: Vec<Vec<f64>> = free
-            .iter()
-            .map(|&i| {
-                let mut v = vec![lower[i], upper[i]];
-                if self.refine_midpoints && upper[i] > lower[i] {
-                    v.push(0.5 * (lower[i] + upper[i]));
+impl<'a, D: ImpreciseDrift> HullOde<'a, D> {
+    fn new(drift: &'a D, refine_midpoints: bool) -> Self {
+        HullOde {
+            drift,
+            dim: drift.dim(),
+            refine_midpoints,
+            theta_candidates: drift.theta_candidates(),
+            vertex_evals: Cell::new(0),
+            scratch: RefCell::new(HullScratch::default()),
+        }
+    }
+
+    /// Reserves the batch buffers for the largest grid a box can span —
+    /// every coordinate at its most slots — so no stage allocates, and a
+    /// grid too large to allocate fails here, before any stage runs.
+    ///
+    /// The check must be on the largest grid, not the current box's: the
+    /// integration starts from a degenerate box whose grid is one point,
+    /// and on a chain like `ring_48` the box widens one coordinate per
+    /// stage, so the grid would grow for hundreds of stages before a
+    /// per-stage check could fail.
+    fn reserve_grid(&self) -> Result<()> {
+        let n_cands = self.theta_candidates.len();
+        let n_params = self.drift.params().dim();
+        // at most 3 values (`x̲`, `x̄`, midpoint) per coordinate, 2 without
+        // midpoints; the pinned-only extra only appears when `x̲ == x̄`
+        let slots: usize = if self.refine_midpoints { 3 } else { 2 };
+        let too_large = || {
+            CoreError::invalid_input(format!(
+                "differential hull: the rectangle grid of a {}-dimensional box \
+                 ({slots}^{} points × {n_cands} Θ candidates) is too large to \
+                 allocate; corner enumeration grows exponentially with the dimension",
+                self.dim, self.dim
+            ))
+        };
+        let lanes = u32::try_from(self.dim)
+            .ok()
+            .and_then(|dim| slots.checked_pow(dim))
+            .and_then(|points| points.checked_mul(n_cands))
+            .ok_or_else(too_large)?;
+        lanes
+            .checked_mul(2 * self.dim + n_params)
+            .and_then(|values| values.checked_mul(std::mem::size_of::<f64>()))
+            .ok_or_else(too_large)?;
+        let scratch = &mut *self.scratch.borrow_mut();
+        scratch
+            .x
+            .try_reserve(self.dim, lanes)
+            .and_then(|()| scratch.thetas.try_reserve(n_params, lanes))
+            .and_then(|()| scratch.drifts.try_reserve(self.dim, lanes))
+            .map_err(|_| too_large())
+    }
+
+    /// Builds the slot lists of the box `[scratch.lower, scratch.upper]`
+    /// and fills the batch buffers with the grid.
+    fn prepare_grid(&self, scratch: &mut HullScratch) {
+        let n_cands = self.theta_candidates.len();
+        let n_params = self.drift.params().dim();
+        scratch.slots.clear();
+        let mut points = 1;
+        for j in 0..self.dim {
+            let mut slots = Slots::new(scratch.lower[j], scratch.upper[j], self.refine_midpoints);
+            slots.stride = points;
+            points *= slots.len;
+            scratch.slots.push(slots);
+        }
+        let lanes = points * n_cands;
+        // the Θ lanes depend on the width only: refill them when it changes
+        if scratch.thetas.width() != lanes || scratch.thetas.rows() != n_params {
+            scratch.thetas.reset(n_params, lanes);
+            for r in 0..n_params {
+                let row = scratch.thetas.row_mut(r);
+                for chunk in row.chunks_exact_mut(n_cands) {
+                    for (value, candidate) in chunk.iter_mut().zip(&self.theta_candidates) {
+                        *value = candidate[r];
+                    }
                 }
-                v.dedup();
-                v
-            })
-            .collect();
-
-        let mut point = lower.clone();
-        point[pin] = pin_value;
-
-        // iterate over the Cartesian product of candidate values
-        let mut indices = vec![0usize; free.len()];
-        loop {
-            for (slot, &coord) in free.iter().enumerate() {
-                point[coord] = candidates[slot][indices[slot]];
             }
-            visit(&point);
-            // advance the multi-index
-            let mut slot = 0;
-            loop {
-                if slot == free.len() {
-                    return;
-                }
-                indices[slot] += 1;
-                if indices[slot] < candidates[slot].len() {
-                    break;
-                }
-                indices[slot] = 0;
-                slot += 1;
+        }
+        scratch.x.reset(self.dim, lanes);
+        for (j, slots) in scratch.slots.iter().enumerate() {
+            let run = slots.stride * n_cands;
+            let row = scratch.x.row_mut(j);
+            for (k, chunk) in row.chunks_exact_mut(run).enumerate() {
+                chunk.fill(slots.values[k % slots.len]);
             }
         }
     }
 
-    /// Enumerates the corner (and optionally midpoint) values of the other
-    /// coordinates, with coordinate `pin` fixed to `pin_value`, and returns
-    /// the extreme of drift coordinate `pin` over those points and over `Θ`.
-    fn extreme_over_box(
-        &self,
-        lower: &StateVec,
-        upper: &StateVec,
-        pin: usize,
-        pin_value: f64,
-        want_max: bool,
-    ) -> f64 {
-        if self.batch_drift {
-            return self.extreme_over_box_batched(lower, upper, pin, pin_value, want_max);
-        }
+    /// The extreme of drift coordinate `pin` over the grid slice with
+    /// `x_pin` at its lower (`want_max == false`) or upper bound.
+    ///
+    /// Replays the per-slice scan: the free coordinates' values in
+    /// multi-index order (lowest coordinate fastest), at each point the
+    /// `extremal_theta` scan over the candidates for the direction
+    /// `±e_pin`, the same strict comparisons, and `StateVec::dot`'s sum
+    /// over every coordinate, zero terms included — so a non-finite drift
+    /// in another coordinate still turns `0·∞` into NaN, and even the sign
+    /// of a zero matches.
+    fn extreme_over_slice(&self, scratch: &mut HullScratch, pin: usize, want_max: bool) -> f64 {
+        let n_cands = self.theta_candidates.len();
+        let width = scratch.drifts.width();
+        let drifts = scratch.drifts.as_slice();
+        let slots = &scratch.slots;
+        let sign = if want_max { 1.0 } else { -1.0 };
+        // `StateVec::dot` with the direction `sign · e_pin`, term for term
+        let dot_pin = |lane: usize| -> f64 {
+            (0..self.dim)
+                .map(|i| drifts[i * width + lane] * if i == pin { sign } else { 0.0 })
+                .sum()
+        };
+
+        let pin_slot = if want_max { slots[pin].upper } else { 0 };
+        let mut point = pin_slot * slots[pin].stride;
+        let index = &mut scratch.index;
+        index.clear();
+        index.resize(self.dim, 0);
+        let mut visited = 0u64;
         let mut best = if want_max {
             f64::NEG_INFINITY
         } else {
             f64::INFINITY
         };
-        self.for_each_rect_point(lower, upper, pin, pin_value, |point| {
-            self.vertex_evals.set(self.vertex_evals.get() + 1);
-            let (lo, hi) = self.drift.coordinate_range(point, pin);
-            let value = if want_max { hi } else { lo };
+        loop {
+            visited += 1;
+            // the `extremal_theta` scan for `sign · e_pin`
+            let mut extreme = f64::NEG_INFINITY;
+            for lane in point * n_cands..(point + 1) * n_cands {
+                let value = dot_pin(lane);
+                if value > extreme {
+                    extreme = value;
+                }
+            }
+            let value = if want_max { extreme } else { -extreme };
             if (want_max && value > best) || (!want_max && value < best) {
                 best = value;
             }
-        });
-        best
-    }
-
-    /// Batched twin of [`HullOde::extreme_over_box`]: one
-    /// [`ImpreciseDrift::drift_batch_into`] pass evaluates every rectangle
-    /// point × Θ-candidate pair, then the reduction replays the scalar
-    /// `coordinate_range`/`extremal_theta` scans — same visit order, same
-    /// comparisons, same left-to-right dot-product fold — on the batched
-    /// values, so the result is bit-identical to the scalar path.
-    fn extreme_over_box_batched(
-        &self,
-        lower: &StateVec,
-        upper: &StateVec,
-        pin: usize,
-        pin_value: f64,
-        want_max: bool,
-    ) -> f64 {
-        let scratch = &mut *self.scratch.borrow_mut();
-        scratch.points.clear();
-        let points = &mut scratch.points;
-        self.for_each_rect_point(lower, upper, pin, pin_value, |point| {
-            points.extend_from_slice(point.as_slice());
-        });
-        let n_points = points.len() / self.dim;
-        let n_cands = self.theta_candidates.len();
-        let width = n_points * n_cands;
-
-        // lane p·C + c holds rectangle point p paired with Θ candidate c, so
-        // the reduction walks lanes in exactly the scalar visit order
-        scratch.x.reset(self.dim, width);
-        scratch.thetas.reset(self.drift.params().dim(), width);
-        for p in 0..n_points {
-            let point = &scratch.points[p * self.dim..(p + 1) * self.dim];
-            for (c, candidate) in self.theta_candidates.iter().enumerate() {
-                scratch.x.set_lane(p * n_cands + c, point);
-                scratch.thetas.set_lane(p * n_cands + c, candidate);
+            // advance the multi-index over the free coordinates
+            let mut j = 0;
+            loop {
+                if j == self.dim {
+                    self.vertex_evals.set(self.vertex_evals.get() + visited);
+                    return best;
+                }
+                if j != pin {
+                    index[j] += 1;
+                    if index[j] < slots[j].free {
+                        point += slots[j].stride;
+                        break;
+                    }
+                    point -= (slots[j].free - 1) * slots[j].stride;
+                    index[j] = 0;
+                }
+                j += 1;
             }
         }
+    }
+
+    /// The hull derivative on the box `[scratch.lower, scratch.upper]`: a
+    /// single batched drift pass over the shared grid, then the `2d`
+    /// reductions.
+    fn evaluate_box(&self, scratch: &mut HullScratch, out: &mut StateVec) {
+        self.prepare_grid(scratch);
         self.drift.drift_batch_into(
             &scratch.x,
             &BatchTheta::PerLane(&scratch.thetas),
             &mut scratch.drifts,
         );
-
-        // replay of `StateVec::dot` with the unit direction `sign · e_pin`:
-        // the same left fold from 0.0 over every coordinate, zero terms
-        // included, so even the sign of a zero result matches the scalar scan
-        let dot_pin = |lane: usize, sign: f64| -> f64 {
-            let mut acc = 0.0;
-            for i in 0..self.dim {
-                let dir = if i == pin { sign } else { 0.0 };
-                acc += scratch.drifts.get(i, lane) * dir;
-            }
-            acc
-        };
-
-        let mut best = if want_max {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        for p in 0..n_points {
-            self.vertex_evals.set(self.vertex_evals.get() + 1);
-            // coordinate_range = extremal scan with +e_pin, then with −e_pin
-            let mut max_value = f64::NEG_INFINITY;
-            for c in 0..n_cands {
-                let value = dot_pin(p * n_cands + c, 1.0);
-                if value > max_value {
-                    max_value = value;
-                }
-            }
-            let mut neg_min = f64::NEG_INFINITY;
-            for c in 0..n_cands {
-                let value = dot_pin(p * n_cands + c, -1.0);
-                if value > neg_min {
-                    neg_min = value;
-                }
-            }
-            let (lo, hi) = (-neg_min, max_value);
-            let value = if want_max { hi } else { lo };
-            if (want_max && value > best) || (!want_max && value < best) {
-                best = value;
-            }
+        for i in 0..self.dim {
+            out[i] = self.extreme_over_slice(scratch, i, false);
+            out[self.dim + i] = self.extreme_over_slice(scratch, i, true);
         }
-        best
     }
 }
 
@@ -490,14 +571,16 @@ impl<D: ImpreciseDrift> OdeSystem for HullOde<'_, D> {
     }
 
     fn rhs(&self, _t: f64, combined: &StateVec, out: &mut StateVec) {
-        let lower: StateVec = (0..self.dim).map(|i| combined[i]).collect();
-        let upper_raw: StateVec = (0..self.dim).map(|i| combined[self.dim + i]).collect();
+        let scratch = &mut *self.scratch.borrow_mut();
+        let (lower, upper_raw) = combined.as_slice().split_at(self.dim);
+        scratch.lower.clear();
+        scratch.lower.extend_from_slice(lower);
         // ensure a well-formed box even at intermediate RK stages
-        let upper = lower.component_max(&upper_raw);
-        for i in 0..self.dim {
-            out[i] = self.extreme_over_box(&lower, &upper, i, lower[i], false);
-            out[self.dim + i] = self.extreme_over_box(&lower, &upper, i, upper[i], true);
-        }
+        scratch.upper.clear();
+        scratch
+            .upper
+            .extend(lower.iter().zip(upper_raw).map(|(lo, hi)| lo.max(*hi)));
+        self.evaluate_box(scratch, out);
     }
 }
 
@@ -508,6 +591,7 @@ mod tests {
     use crate::inclusion::DifferentialInclusion;
     use crate::signal::PiecewiseSignal;
     use mfu_ctmc::params::ParamSpace;
+    use scalar_oracle::{scalar_bounds, ScalarHullOde};
 
     fn decay_drift(lo: f64, hi: f64) -> FnDrift<impl Fn(&StateVec, &[f64], &mut StateVec)> {
         let theta = ParamSpace::single("rate", lo, hi).unwrap();
@@ -635,77 +719,305 @@ mod tests {
         assert_eq!(second, 2 * first);
     }
 
+    fn assert_bits_eq(shared: &[f64], oracle: &[f64], what: &str) {
+        assert_eq!(shared.len(), oracle.len(), "{what}: length");
+        for (i, (a, b)) in shared.iter().zip(oracle).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs {b}");
+        }
+    }
+
+    /// Integrates `drift` with the shared grid and with the scalar oracle
+    /// and asserts bit-identical bounds and equal vertex counts.
+    fn assert_bounds_match_oracle<D: ImpreciseDrift>(
+        drift: &D,
+        options: HullOptions,
+        x0: &StateVec,
+        t_end: f64,
+    ) {
+        let obs = Obs::with_metrics();
+        let shared = DifferentialHull::new(drift, options)
+            .with_obs(obs.clone())
+            .bounds(x0, t_end)
+            .unwrap();
+        let oracle = scalar_bounds(drift, &options, x0, t_end).unwrap();
+        assert_eq!(shared.times(), oracle.times.as_slice());
+        for k in 0..oracle.times.len() {
+            let what = |side: &str| format!("{side} bound at node {k}");
+            assert_bits_eq(
+                shared.lower()[k].as_slice(),
+                oracle.lower[k].as_slice(),
+                &what("lower"),
+            );
+            assert_bits_eq(
+                shared.upper()[k].as_slice(),
+                oracle.upper[k].as_slice(),
+                &what("upper"),
+            );
+        }
+        let counted = obs.metrics.snapshot().unwrap();
+        assert_eq!(
+            counted.counter(Counter::CoreHullVertexEvals),
+            oracle.vertex_evals
+        );
+    }
+
+    /// One right-hand-side evaluation of both kernels on `combined`.
+    fn assert_rhs_matches_oracle<D: ImpreciseDrift>(
+        drift: &D,
+        refine_midpoints: bool,
+        combined: &[f64],
+    ) {
+        let combined: StateVec = combined.iter().copied().collect();
+        let shared = HullOde::new(drift, refine_midpoints);
+        let oracle = ScalarHullOde::new(drift, refine_midpoints);
+        let shared_out = shared.rhs_owned(0.0, &combined);
+        let oracle_out = oracle.rhs_owned(0.0, &combined);
+        assert_bits_eq(
+            shared_out.as_slice(),
+            oracle_out.as_slice(),
+            &format!("rhs at {combined}"),
+        );
+        assert_eq!(shared.vertex_evals.get(), oracle.vertex_evals.get());
+    }
+
+    /// The hull derivative of both kernels on an explicit box, bypassing
+    /// the `max` that lifts the upper bound (whose choice between `−0.0`
+    /// and `+0.0` is unspecified).
+    fn assert_box_matches_oracle<D: ImpreciseDrift>(
+        drift: &D,
+        refine_midpoints: bool,
+        lower: &[f64],
+        upper: &[f64],
+    ) {
+        let shared = HullOde::new(drift, refine_midpoints);
+        let mut shared_out = StateVec::zeros(2 * lower.len());
+        {
+            let scratch = &mut *shared.scratch.borrow_mut();
+            scratch.lower = lower.to_vec();
+            scratch.upper = upper.to_vec();
+            shared.evaluate_box(scratch, &mut shared_out);
+        }
+        let oracle = ScalarHullOde::new(drift, refine_midpoints);
+        let mut oracle_out = StateVec::zeros(2 * lower.len());
+        let (lower, upper): (StateVec, StateVec) = (
+            lower.iter().copied().collect(),
+            upper.iter().copied().collect(),
+        );
+        oracle.rhs_on_box(&lower, &upper, &mut oracle_out);
+        assert_bits_eq(
+            shared_out.as_slice(),
+            oracle_out.as_slice(),
+            &format!("derivative on [{lower}, {upper}]"),
+        );
+        assert_eq!(shared.vertex_evals.get(), oracle.vertex_evals.get());
+    }
+
     #[test]
-    fn batched_bounds_are_bit_identical_to_scalar_bounds() {
+    fn slot_lists_follow_the_dedup_rule() {
+        let one_ulp_up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let lists = |lo: f64, hi: f64, refine: bool| {
+            let slots = Slots::new(lo, hi, refine);
+            (slots.values[..slots.len].to_vec(), slots.free, slots.upper)
+        };
+        assert_eq!(lists(0.25, 0.75, true), (vec![0.25, 0.75, 0.5], 3, 1));
+        assert_eq!(lists(0.25, 0.75, false), (vec![0.25, 0.75], 2, 1));
+        assert_eq!(lists(0.5, 0.5, true), (vec![0.5], 1, 0));
+        // the midpoint of [1, 1 + ulp] rounds to 1: not adjacent to its
+        // duplicate, so `dedup` keeps it
+        let hi = one_ulp_up(1.0);
+        assert_eq!(lists(1.0, hi, true), (vec![1.0, hi, 1.0], 3, 1));
+        // −0.0 == +0.0, but the pinned upper side needs +0.0's own bits
+        let (values, free, upper) = lists(-0.0, 0.0, true);
+        assert_eq!((free, upper), (1, 1));
+        assert_eq!(values[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(values[1].to_bits(), 0.0f64.to_bits());
+    }
+
+    fn coupled_drift() -> FnDrift<impl Fn(&StateVec, &[f64], &mut StateVec)> {
+        let theta = ParamSpace::single("coupling", 0.5, 2.0).unwrap();
+        FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] * (x[1] - x[0]);
+            dx[1] = x[0] - x[1];
+        })
+    }
+
+    #[test]
+    fn shared_grid_bounds_are_bit_identical_to_the_scalar_oracle() {
         // the coupled 2-d drift exercises midpoint refinement and a
         // non-trivial rectangle enumeration; a refined Θ adds grid candidates
-        let theta = ParamSpace::single("coupling", 0.5, 2.0).unwrap();
-        let make_drift = || {
-            FnDrift::new(
-                2,
-                theta.clone(),
-                |x: &StateVec, th: &[f64], dx: &mut StateVec| {
-                    dx[0] = th[0] * (x[1] - x[0]);
-                    dx[1] = x[0] - x[1];
-                },
-            )
-            .with_theta_refinement(2)
-        };
         let x0 = StateVec::from([1.0, 0.0]);
-        let scalar = DifferentialHull::new(
-            make_drift(),
-            HullOptions {
-                batch_drift: false,
+        let refined = coupled_drift().with_theta_refinement(2);
+        for refine_midpoints in [true, false] {
+            let options = HullOptions {
+                refine_midpoints,
                 ..HullOptions::default()
-            },
-        )
-        .bounds(&x0, 1.0)
+            };
+            assert_bounds_match_oracle(&refined, options, &x0, 1.0);
+            assert_bounds_match_oracle(&coupled_drift(), options, &x0, 1.0);
+        }
+        // three coordinates and two parameters: a 3^3-point grid, 4 vertices
+        let theta = ParamSpace::new(vec![
+            ("infect", mfu_ctmc::params::Interval::new(1.0, 3.0).unwrap()),
+            (
+                "recover",
+                mfu_ctmc::params::Interval::new(0.5, 1.0).unwrap(),
+            ),
+        ])
         .unwrap();
-        let batched = DifferentialHull::new(
-            make_drift(),
-            HullOptions {
-                batch_drift: true,
-                ..HullOptions::default()
-            },
-        )
-        .bounds(&x0, 1.0)
-        .unwrap();
-        assert_eq!(scalar.times(), batched.times());
-        for k in 0..scalar.times().len() {
-            for i in 0..2 {
-                assert_eq!(
-                    scalar.lower()[k][i].to_bits(),
-                    batched.lower()[k][i].to_bits(),
-                    "lower bound {i} at node {k}"
-                );
-                assert_eq!(
-                    scalar.upper()[k][i].to_bits(),
-                    batched.upper()[k][i].to_bits(),
-                    "upper bound {i} at node {k}"
-                );
+        let sir = FnDrift::new(3, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = -th[0] * x[0] * x[1] + 0.1 * x[2];
+            dx[1] = th[0] * x[0] * x[1] - th[1] * x[1];
+            dx[2] = th[1] * x[1] - 0.1 * x[2];
+        });
+        let options = HullOptions {
+            step: 1e-2,
+            time_intervals: 20,
+            clamp: Some((0.0, 1.0)),
+            ..HullOptions::default()
+        };
+        assert_bounds_match_oracle(&sir, options, &StateVec::from([0.7, 0.3, 0.0]), 2.0);
+    }
+
+    #[test]
+    fn shared_grid_counts_vertex_evals_like_the_scalar_oracle() {
+        // per stage, 2d slices of the grid are walked: the count is the
+        // scalar scan's, not the number of drift lanes
+        let obs = Obs::with_metrics();
+        let drift = decay_drift(1.0, 2.0);
+        DifferentialHull::new(&drift, HullOptions::default())
+            .with_obs(obs.clone())
+            .bounds(&StateVec::from([1.0]), 1.0)
+            .unwrap();
+        let oracle =
+            scalar_bounds(&drift, &HullOptions::default(), &StateVec::from([1.0]), 1.0).unwrap();
+        let counted = obs
+            .metrics
+            .snapshot()
+            .unwrap()
+            .counter(Counter::CoreHullVertexEvals);
+        assert_eq!(counted, oracle.vertex_evals);
+        assert!(counted > 0);
+    }
+
+    #[test]
+    fn shared_grid_rhs_matches_the_oracle_on_edge_boxes() {
+        let one_ulp_up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        // 1.0 has an even mantissa, so the midpoint of [1, 1 + ulp] rounds
+        // back to the lower end; one ulp higher it rounds to the upper end
+        let even = 1.0;
+        assert_eq!(0.5 * (even + one_ulp_up(even)), even);
+        let odd = one_ulp_up(1.0);
+        assert_eq!(0.5 * (odd + one_ulp_up(odd)), one_ulp_up(odd));
+        let drift = coupled_drift().with_theta_refinement(2);
+        for refine_midpoints in [true, false] {
+            // the degenerate box of the first stage
+            assert_rhs_matches_oracle(&drift, refine_midpoints, &[0.3, 0.6, 0.3, 0.6]);
+            // 1-ulp-wide boxes: midpoint equal to the lower, then the upper end
+            for lo in [even, odd] {
+                let hi = one_ulp_up(lo);
+                assert_rhs_matches_oracle(&drift, refine_midpoints, &[lo, 0.5, hi, 0.75]);
+                assert_rhs_matches_oracle(&drift, refine_midpoints, &[0.5, lo, 0.75, hi]);
             }
+            // an upper bound below the lower one is lifted to it
+            assert_rhs_matches_oracle(&drift, refine_midpoints, &[0.4, 0.6, 0.2, 0.9]);
         }
     }
 
     #[test]
-    fn batched_and_scalar_paths_count_vertex_evals_identically() {
-        let count_with = |batch_drift: bool| {
-            let obs = Obs::with_metrics();
-            let hull = DifferentialHull::new(
-                decay_drift(1.0, 2.0),
-                HullOptions {
-                    batch_drift,
-                    ..HullOptions::default()
-                },
-            )
-            .with_obs(obs.clone());
-            hull.bounds(&StateVec::from([1.0]), 1.0).unwrap();
-            obs.metrics
-                .snapshot()
-                .unwrap()
-                .counter(Counter::CoreHullVertexEvals)
+    fn shared_grid_rhs_keeps_signed_zeros_and_infinities() {
+        // drifts that see the sign of a zero state and return signed zeros
+        let theta = ParamSpace::single("rate", 1.0, 2.0).unwrap();
+        let signed = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = th[0] * x[1].signum() - x[0];
+            dx[1] = -0.0 * th[0] * x[0].signum();
+        });
+        for refine_midpoints in [true, false] {
+            // x̲ = −0.0 against x̄ = +0.0: equal values, different bits
+            for (lower, upper) in [
+                ([-0.0, -0.0], [0.0, 0.0]),
+                ([-0.0, 0.5], [0.0, 0.5]),
+                ([0.5, -0.0], [0.7, 0.0]),
+                ([0.0, -0.0], [-0.0, 0.0]),
+            ] {
+                assert_box_matches_oracle(&signed, refine_midpoints, &lower, &upper);
+                let combined = [lower, upper].concat();
+                assert_rhs_matches_oracle(&signed, refine_midpoints, &combined);
+            }
+        }
+        // an infinite drift in a non-pinned coordinate turns the replayed
+        // `0·∞` into NaN, which never wins a comparison
+        let theta = ParamSpace::single("rate", 1.0, 2.0).unwrap();
+        let blowup = FnDrift::new(2, theta, |x: &StateVec, th: &[f64], dx: &mut StateVec| {
+            dx[0] = -th[0] * x[0];
+            dx[1] = if x[0] > 0.6 {
+                f64::INFINITY
+            } else if x[0] < 0.4 {
+                f64::NEG_INFINITY
+            } else {
+                x[0] - x[1]
+            };
+        });
+        for refine_midpoints in [true, false] {
+            assert_rhs_matches_oracle(&blowup, refine_midpoints, &[0.5, 0.5, 0.7, 0.6]);
+            assert_rhs_matches_oracle(&blowup, refine_midpoints, &[0.3, 0.5, 0.7, 0.6]);
+            assert_rhs_matches_oracle(&blowup, refine_midpoints, &[0.7, 0.5, 0.7, 0.6]);
+        }
+    }
+
+    /// Counts [`ImpreciseDrift::drift_batch_into`] calls and checks each
+    /// batch is a full grid: every distinct value of every coordinate
+    /// paired with every other and with every Θ candidate.
+    struct CountingDrift<D> {
+        inner: D,
+        calls: Cell<u64>,
+    }
+
+    impl<D: ImpreciseDrift> ImpreciseDrift for CountingDrift<D> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn params(&self) -> &ParamSpace {
+            self.inner.params()
+        }
+
+        fn drift_into(&self, x: &StateVec, theta: &[f64], out: &mut StateVec) {
+            self.inner.drift_into(x, theta, out);
+        }
+
+        fn theta_refinement(&self) -> usize {
+            self.inner.theta_refinement()
+        }
+
+        fn drift_batch_into(&self, x: &SoaBatch, theta: &BatchTheta<'_>, out: &mut SoaBatch) {
+            self.calls.set(self.calls.get() + 1);
+            let mut lanes = self.theta_candidates().len();
+            for j in 0..x.rows() {
+                let mut distinct: Vec<u64> = x.row(j).iter().map(|v| v.to_bits()).collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                lanes *= distinct.len();
+            }
+            assert_eq!(x.width(), lanes, "a batch is not the full grid");
+            self.inner.drift_batch_into(x, theta, out);
+        }
+    }
+
+    #[test]
+    fn one_drift_batch_per_rhs_stage() {
+        let drift = CountingDrift {
+            inner: coupled_drift().with_theta_refinement(1),
+            calls: Cell::new(0),
         };
-        assert_eq!(count_with(false), count_with(true));
+        let options = HullOptions::default();
+        let t_end = 1.0;
+        DifferentialHull::new(&drift, options)
+            .bounds(&StateVec::from([1.0, 0.0]), t_end)
+            .unwrap();
+        // the integration's step count: every report interval in equal steps
+        let dt = t_end / options.time_intervals as f64;
+        let steps = options.time_intervals * (dt / options.step.min(dt)).ceil() as usize;
+        assert_eq!(drift.calls.get(), 4 * steps as u64);
     }
 
     #[test]

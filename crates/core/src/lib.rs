@@ -67,6 +67,11 @@
 
 mod error;
 
+// the hull's scalar test oracle is also compiled into the root integration
+// tests, so it names items by the `mfu_core::` paths both crates resolve
+#[cfg(test)]
+extern crate self as mfu_core;
+
 pub mod artifact;
 pub mod asymptotic;
 pub mod birkhoff;

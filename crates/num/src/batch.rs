@@ -99,6 +99,27 @@ impl SoaBatch {
         self.width = width;
     }
 
+    /// Reserves storage for a `rows × width` batch without reshaping it,
+    /// so that later [`SoaBatch::reset`]s up to that size do not allocate.
+    /// For batches whose size comes from the input: a size too large to
+    /// allocate is an error instead of an abort, and nothing is written.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's error when `rows × width` values overflow
+    /// or cannot be allocated.
+    pub fn try_reserve(
+        &mut self,
+        rows: usize,
+        width: usize,
+    ) -> Result<(), std::collections::TryReserveError> {
+        // an overflowing product asks for usize::MAX values, which
+        // `try_reserve` rejects as a capacity overflow
+        let len = rows.saturating_mul(width);
+        self.values
+            .try_reserve(len.saturating_sub(self.values.len()))
+    }
+
     /// Sets every value of the batch to `v`.
     pub fn fill(&mut self, v: f64) {
         self.values.fill(v);
@@ -247,6 +268,16 @@ impl<'a> BatchTheta<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_reserve_reports_oversized_batches_without_reshaping() {
+        let mut batch = SoaBatch::from_lanes(&[[1.0, 2.0]]);
+        assert!(batch.try_reserve(usize::MAX, 2).is_err());
+        assert!(batch.try_reserve(1 << 40, 1 << 40).is_err());
+        batch.try_reserve(2, 64).unwrap();
+        assert_eq!((batch.rows(), batch.width()), (2, 1));
+        assert_eq!(batch.row(1), &[2.0]);
+    }
 
     #[test]
     fn layout_is_coordinate_major() {

@@ -26,7 +26,7 @@ mod trajectory;
 
 pub use dopri::Dopri45;
 pub use euler::Euler;
-pub use rk4::Rk4;
+pub use rk4::{Rk4, Rk4Workspace};
 pub use steady::{equilibrium, EquilibriumOptions};
 pub use trajectory::Trajectory;
 

@@ -46,33 +46,82 @@ impl Rk4 {
     /// Performs a single RK4 step of size `h` from `(t, x)`, writing into `x`.
     ///
     /// Exposed for callers that manage their own time grid (e.g. the
-    /// forward–backward Pontryagin sweep).
+    /// forward–backward Pontryagin sweep). Allocates its stage buffers;
+    /// loops that step many times use [`Rk4::step_in_place_with`].
     pub fn step_in_place(system: &dyn OdeSystem, t: f64, x: &mut StateVec, h: f64) {
-        let dim = x.dim();
-        let mut k1 = StateVec::zeros(dim);
-        let mut k2 = StateVec::zeros(dim);
-        let mut k3 = StateVec::zeros(dim);
-        let mut k4 = StateVec::zeros(dim);
-        let mut tmp = StateVec::zeros(dim);
+        Rk4::step_in_place_with(system, t, x, h, &mut Rk4Workspace::new(x.dim()));
+    }
 
-        system.rhs(t, x, &mut k1);
+    /// [`Rk4::step_in_place`] on caller-owned stage buffers: the same
+    /// arithmetic in the same order, so the result is bit-identical, with
+    /// no allocation. `system.rhs` must write every coordinate of its
+    /// output, since the buffers keep the previous step's values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workspace` was built for a dimension other than `x.dim()`.
+    pub fn step_in_place_with(
+        system: &dyn OdeSystem,
+        t: f64,
+        x: &mut StateVec,
+        h: f64,
+        workspace: &mut Rk4Workspace,
+    ) {
+        assert_eq!(
+            workspace.tmp.dim(),
+            x.dim(),
+            "RK4 workspace dimension mismatch"
+        );
+        let Rk4Workspace {
+            k1,
+            k2,
+            k3,
+            k4,
+            tmp,
+        } = workspace;
+
+        system.rhs(t, x, k1);
 
         tmp.copy_from(x);
-        tmp.add_scaled(0.5 * h, &k1);
-        system.rhs(t + 0.5 * h, &tmp, &mut k2);
+        tmp.add_scaled(0.5 * h, k1);
+        system.rhs(t + 0.5 * h, tmp, k2);
 
         tmp.copy_from(x);
-        tmp.add_scaled(0.5 * h, &k2);
-        system.rhs(t + 0.5 * h, &tmp, &mut k3);
+        tmp.add_scaled(0.5 * h, k2);
+        system.rhs(t + 0.5 * h, tmp, k3);
 
         tmp.copy_from(x);
-        tmp.add_scaled(h, &k3);
-        system.rhs(t + h, &tmp, &mut k4);
+        tmp.add_scaled(h, k3);
+        system.rhs(t + h, tmp, k4);
 
-        x.add_scaled(h / 6.0, &k1);
-        x.add_scaled(h / 3.0, &k2);
-        x.add_scaled(h / 3.0, &k3);
-        x.add_scaled(h / 6.0, &k4);
+        x.add_scaled(h / 6.0, k1);
+        x.add_scaled(h / 3.0, k2);
+        x.add_scaled(h / 3.0, k3);
+        x.add_scaled(h / 6.0, k4);
+    }
+}
+
+/// The four stage slopes and the stage state of one RK4 step, kept across
+/// steps by [`Rk4::step_in_place_with`].
+#[derive(Debug, Clone)]
+pub struct Rk4Workspace {
+    k1: StateVec,
+    k2: StateVec,
+    k3: StateVec,
+    k4: StateVec,
+    tmp: StateVec,
+}
+
+impl Rk4Workspace {
+    /// Stage buffers for a `dim`-dimensional system.
+    pub fn new(dim: usize) -> Self {
+        Rk4Workspace {
+            k1: StateVec::zeros(dim),
+            k2: StateVec::zeros(dim),
+            k3: StateVec::zeros(dim),
+            k4: StateVec::zeros(dim),
+            tmp: StateVec::zeros(dim),
+        }
     }
 }
 
@@ -151,6 +200,25 @@ mod tests {
         // halving the step should reduce the error roughly by 2^4 = 16
         let order = (e1 / e2).log2();
         assert!(order > 3.0, "observed order {order} too low");
+    }
+
+    #[test]
+    fn reused_workspace_steps_are_bit_identical() {
+        let sys = FnSystem::new(2, |t, x: &StateVec, dx: &mut StateVec| {
+            dx[0] = x[1] * t.cos();
+            dx[1] = -x[0] - 0.3 * x[1];
+        });
+        let mut fresh = StateVec::from([1.0, -0.5]);
+        let mut reused = fresh.clone();
+        let mut workspace = Rk4Workspace::new(2);
+        for k in 0..50 {
+            let t = 0.05 * k as f64;
+            Rk4::step_in_place(&sys, t, &mut fresh, 0.05);
+            Rk4::step_in_place_with(&sys, t, &mut reused, 0.05, &mut workspace);
+            for i in 0..2 {
+                assert_eq!(fresh[i].to_bits(), reused[i].to_bits());
+            }
+        }
     }
 
     #[test]

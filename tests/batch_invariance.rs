@@ -1,23 +1,29 @@
-//! Batched SoA evaluation must be invisible: forcing the batch paths on
-//! or off cannot change a single bit of any analysis result. These tests
-//! sweep the scenario registry and compare, bit for bit,
+//! Batched SoA evaluation must be invisible: no batched call site may
+//! change a single bit of any analysis result. These tests sweep the
+//! scenario registry and compare, bit for bit,
 //!
-//! * differential-hull bounds (`HullOptions::batch_drift`),
+//! * differential-hull bounds of the shared-grid kernel against the scalar
+//!   per-(coordinate, side) scan it replaced (`scalar_oracle`),
 //! * Pontryagin coordinate extremes (`PontryaginOptions::batch_drift`),
 //! * seeded τ-leap ensemble summaries
 //!   (`EnsembleOptions::batch_propensities`, lockstep replication
 //!   batching),
 //!
-//! with batching on versus off. Together with the property suite in
-//! `crates/lang/tests/vm_equivalence.rs` (random expressions × widths ×
-//! lane-varying inputs) this is the end-to-end half of the batched-VM
-//! equivalence harness: the VM proves each instruction pass is lane-exact,
-//! these tests prove no call site reorders the arithmetic around it.
+//! the latter two with batching on versus off. Together with the property
+//! suite in `crates/lang/tests/vm_equivalence.rs` (random expressions ×
+//! widths × lane-varying inputs) this is the end-to-end half of the
+//! batched-VM equivalence harness: the VM proves each instruction pass is
+//! lane-exact, these tests prove no call site reorders the arithmetic
+//! around it.
+
+#[path = "../crates/core/src/hull/scalar_oracle.rs"]
+mod scalar_oracle;
 
 use mean_field_uncertain::core::hull::{DifferentialHull, HullOptions};
 use mean_field_uncertain::core::pontryagin::{PontryaginOptions, PontryaginSolver};
 use mean_field_uncertain::lang::scenarios::ScenarioRegistry;
 use mean_field_uncertain::num::StateVec;
+use mean_field_uncertain::obs::{Counter, Obs};
 use mean_field_uncertain::sim::ensemble::{run_ensemble, EnsembleOptions, EnsembleSummary};
 use mean_field_uncertain::sim::gillespie::{SimulationOptions, Simulator};
 use mean_field_uncertain::sim::policy::ConstantPolicy;
@@ -40,12 +46,12 @@ fn assert_states_bit_identical(a: &[StateVec], b: &[StateVec], what: &str, name:
 }
 
 /// The hull's rectangle-point enumeration is exponential in the dimension
-/// (batched or not), so the registry sweep keeps to the models the scalar
-/// hull can integrate in test time.
+/// (the scalar oracle's even more so), so the registry sweep keeps to the
+/// models the oracle can integrate in test time.
 const MAX_HULL_DIM: usize = 6;
 
 #[test]
-fn hull_bounds_are_bit_identical_with_batching_on_and_off() {
+fn hull_bounds_are_bit_identical_to_the_scalar_oracle() {
     let registry = ScenarioRegistry::with_builtins();
     let mut checked = 0usize;
     for scenario in registry.iter() {
@@ -55,24 +61,29 @@ fn hull_bounds_are_bit_identical_with_batching_on_and_off() {
         }
         let drift = model.drift();
         let horizon = scenario.horizon().min(1.0);
-        let bounds_with = |batch: bool| {
-            DifferentialHull::new(
-                &drift,
-                HullOptions {
-                    step: 1e-2,
-                    time_intervals: 10,
-                    batch_drift: batch,
-                    ..Default::default()
-                },
-            )
-            .bounds(&model.initial_state(), horizon)
-            .unwrap()
+        let options = HullOptions {
+            step: 1e-2,
+            time_intervals: 10,
+            ..Default::default()
         };
-        let on = bounds_with(true);
-        let off = bounds_with(false);
-        assert_eq!(on.times(), off.times(), "{}: time grid", model.name());
-        assert_states_bit_identical(on.lower(), off.lower(), "hull lower bound", model.name());
-        assert_states_bit_identical(on.upper(), off.upper(), "hull upper bound", model.name());
+        let obs = Obs::with_metrics();
+        let shared = DifferentialHull::new(&drift, options)
+            .with_obs(obs.clone())
+            .bounds(&model.initial_state(), horizon)
+            .unwrap();
+        let oracle =
+            scalar_oracle::scalar_bounds(&drift, &options, &model.initial_state(), horizon)
+                .unwrap();
+        let name = model.name();
+        assert_eq!(shared.times(), oracle.times.as_slice(), "{name}: time grid");
+        assert_states_bit_identical(shared.lower(), &oracle.lower, "hull lower bound", name);
+        assert_states_bit_identical(shared.upper(), &oracle.upper, "hull upper bound", name);
+        let vertex_evals = obs
+            .metrics
+            .snapshot()
+            .unwrap()
+            .counter(Counter::CoreHullVertexEvals);
+        assert_eq!(vertex_evals, oracle.vertex_evals, "{name}: vertex evals");
         checked += 1;
     }
     assert!(checked >= 3, "only {checked} scenarios fit the hull sweep");

@@ -7,14 +7,21 @@
 //! error. Panics and hangs are the only forbidden outcomes, and `proptest`
 //! sweeps the input space so nobody has to hand-pick the nasty values.
 
+use std::cell::Cell;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
+use mean_field_uncertain::core::drift::ImpreciseDrift;
 use mean_field_uncertain::core::hull::{DifferentialHull, HullOptions};
 use mean_field_uncertain::core::pontryagin::{PontryaginOptions, PontryaginSolver};
+use mean_field_uncertain::core::CoreError;
+use mean_field_uncertain::ctmc::params::ParamSpace;
 use mean_field_uncertain::guard::{Outcome, RunBudget, TruncationReason};
+use mean_field_uncertain::lang::scenarios::ScenarioRegistry;
 use mean_field_uncertain::lang::{compile, CompiledModel};
+use mean_field_uncertain::num::batch::{BatchTheta, SoaBatch};
+use mean_field_uncertain::num::StateVec;
 use mean_field_uncertain::sim::gillespie::{SimulationAlgorithm, SimulationOptions, Simulator};
 use mean_field_uncertain::sim::policy::ConstantPolicy;
 use mean_field_uncertain::sim::steady::SteadyStateOptions;
@@ -214,5 +221,59 @@ fn steady_state_try_new_rejects_bad_inputs_with_typed_errors() {
             ),
             other => panic!("expected InvalidInput, got {other:?}"),
         }
+    }
+}
+
+/// Counts batched drift calls, so a test can see whether a hull
+/// integration evaluated anything before it stopped.
+struct CountingDrift<D> {
+    inner: D,
+    calls: Cell<u64>,
+}
+
+impl<D: ImpreciseDrift> ImpreciseDrift for CountingDrift<D> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn params(&self) -> &ParamSpace {
+        self.inner.params()
+    }
+
+    fn drift_into(&self, x: &StateVec, theta: &[f64], out: &mut StateVec) {
+        self.inner.drift_into(x, theta, out);
+    }
+
+    fn drift_batch_into(&self, x: &SoaBatch, theta: &BatchTheta<'_>, out: &mut SoaBatch) {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.drift_batch_into(x, theta, out);
+    }
+}
+
+/// The hull's rectangle grid grows as 3^dim: on the large generated models
+/// it cannot be allocated. A hull query there must fail with a typed error
+/// naming the dimension — found from checked sizes before any grid is
+/// allocated or any stage runs — instead of growing a buffer until
+/// allocation aborts the process (and a server with it).
+#[test]
+fn hull_grids_too_large_to_allocate_fail_with_a_typed_error() {
+    let registry = ScenarioRegistry::with_builtins();
+    for name in ["ring_48", "grid_6x6"] {
+        let model = registry.compile(name).unwrap();
+        let drift = CountingDrift {
+            inner: model.drift(),
+            calls: Cell::new(0),
+        };
+        let err = DifferentialHull::new(&drift, HullOptions::default())
+            .bounds(&model.initial_state(), 1.0)
+            .unwrap_err();
+        match &err {
+            CoreError::InvalidInput { message } => assert!(
+                message.contains(&format!("{}-dimensional", model.dim())),
+                "{name}: {message}"
+            ),
+            other => panic!("{name}: expected InvalidInput, got {other:?}"),
+        }
+        assert_eq!(drift.calls.get(), 0, "{name}: drift batches evaluated");
     }
 }

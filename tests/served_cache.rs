@@ -154,3 +154,35 @@ fn concurrent_clients_racing_one_service_get_identical_answers() {
     }
     assert!(hits >= 8, "the cache never warmed across 16 queries");
 }
+
+fn hull_request(model: &str, horizon: Option<f64>) -> BoundRequest {
+    BoundRequest {
+        model: Some(model.to_string()),
+        source: None,
+        method: BoundMethod::Hull,
+        horizon,
+        box_overrides: Vec::new(),
+    }
+}
+
+/// A served hull costs exactly the rectangle-vertex evaluations of the
+/// per-(coordinate, side) scan the shared grid replaced: the count is
+/// part of the artifact, so it is pinned at the service's defaults.
+#[test]
+fn served_hull_vertex_count_is_pinned_at_the_default_options() {
+    let service = QueryService::new(ServiceOptions::default());
+    let outcome = service.bound(&hull_request("sir", Some(1.0))).unwrap();
+    assert_eq!(outcome.artifact.cost.hull_vertex_evals, 215_928);
+}
+
+/// A hull query whose rectangle grid cannot be allocated is an error
+/// response, not an allocation abort: the service goes on answering.
+#[test]
+fn hull_queries_too_large_to_allocate_are_errors_not_aborts() {
+    let service = QueryService::new(fast_options());
+    for (name, dim) in [("ring_48", 48), ("grid_6x6", 36)] {
+        let err = service.bound(&hull_request(name, None)).unwrap_err();
+        assert!(err.contains(&format!("{dim}-dimensional")), "{name}: {err}");
+    }
+    assert!(service.bound(&hull_request("sir", Some(1.0))).is_ok());
+}
